@@ -8,9 +8,10 @@ worst on LU (the most communication-intensive benchmark).
 
 Beyond the paper's 32-rank ceiling, the large-scale section sweeps
 n in {64, 256, 1024} on a communication-sparse ring workload to measure
-what ``compress_piggybacks`` does to TDI's O(n) wire cost.  Run as a
-module (``python benchmarks/bench_fig6_piggyback.py``) to append one
-record to ``BENCH_piggyback.json``.
+what ``compress_piggybacks`` does to TDI's O(n) wire cost — in bytes on
+the wire and in the wall time of each run, raw and compressed.  Run as
+a module (``PYTHONPATH=src python benchmarks/bench_fig6_piggyback.py``)
+to append one record to ``BENCH_piggyback.json``.
 """
 
 import argparse
@@ -124,20 +125,29 @@ def ring_run(nprocs: int, *, compress: bool, rounds: int = 6):
     return run_simulation(config, workload)
 
 
-def ring_bytes_per_message(nprocs: int, *, compress: bool) -> float:
-    """Piggyback bytes per app message actually put on the wire."""
+def ring_measure(nprocs: int, *, compress: bool) -> tuple[float, float]:
+    """``(piggyback bytes per app message put on the wire, wall seconds)``
+    of one ring run."""
+    start = time.perf_counter()
     run = ring_run(nprocs, compress=compress)
+    wall_s = time.perf_counter() - start
     sends = run.stats.total("app_sends")
     counter = "piggyback_bytes_wire" if compress else "piggyback_bytes_raw"
-    return run.stats.total(counter) / sends
+    return run.stats.total(counter) / sends, wall_s
+
+
+def ring_bytes_per_message(nprocs: int, *, compress: bool) -> float:
+    """Piggyback bytes per app message actually put on the wire."""
+    return ring_measure(nprocs, compress=compress)[0]
 
 
 def ring_sweep() -> dict[int, dict[str, float]]:
     series: dict[int, dict[str, float]] = {}
     for nprocs in LARGE_SCALES:
-        raw = ring_bytes_per_message(nprocs, compress=False)
-        wire = ring_bytes_per_message(nprocs, compress=True)
-        series[nprocs] = {"raw": raw, "wire": wire, "ratio": raw / wire}
+        raw, raw_s = ring_measure(nprocs, compress=False)
+        wire, wire_s = ring_measure(nprocs, compress=True)
+        series[nprocs] = {"raw": raw, "wire": wire, "ratio": raw / wire,
+                          "raw_s": raw_s, "wire_s": wire_s}
     return series
 
 
@@ -189,6 +199,14 @@ def collect_record() -> dict:
                                for n in LARGE_SCALES},
         "compression_ratio": {str(n): round(series[n]["ratio"], 1)
                               for n in LARGE_SCALES},
+        # wall time of each single ring run (one process, serial)
+        "wall_s": {
+            "raw": {str(n): round(series[n]["raw_s"], 3)
+                    for n in LARGE_SCALES},
+            "compressed": {str(n): round(series[n]["wire_s"], 3)
+                           for n in LARGE_SCALES},
+        },
+        "command": "PYTHONPATH=src python benchmarks/bench_fig6_piggyback.py",
     }
 
 

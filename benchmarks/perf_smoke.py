@@ -18,6 +18,13 @@ not wall time), so it is pinned against the latest
 regression that silently re-sends full vectors shows up as a 10-20x
 jump, far past the 10% margin.
 
+And gates what compression costs in wall time: the compressed/raw
+wall-time ratio of the ring at n=1024 (2 pattern rounds, best of
+``--repeats``) must stay under 3.0.  A ratio cancels the
+runner's speed; on a shared 2-core host the per-integer scalar varint
+codec this guards against measured 4.2 and 5.2, the array codec 1.5 and
+1.9.
+
 Run from the repo root: ``PYTHONPATH=src python benchmarks/perf_smoke.py``.
 """
 
@@ -37,11 +44,17 @@ from benchmarks.bench_harness import (  # noqa: E402
 from benchmarks.bench_fig6_piggyback import (  # noqa: E402
     ARTIFACT as PB_ARTIFACT,
     ring_bytes_per_message,
+    ring_run,
 )
 from benchmarks.bench_substrate import ARTIFACT, _timed, _transport_run  # noqa: E402
 
 #: scale point for the deterministic compressed-bytes gate
 PB_GATE_NPROCS = 256
+#: scale point, pattern rounds and ceiling of the compressed/raw
+#: wall-time gate
+RING_GATE_NPROCS = 1024
+RING_GATE_ROUNDS = 2
+RING_RATIO_CEILING = 3.0
 
 
 def pinned_ceiling(path: Path, margin: float) -> float:
@@ -96,6 +109,17 @@ def main(argv: list[str] | None = None) -> int:
     print(f"compressed piggyback wire: {pb_wire:.2f} bytes/msg at "
           f"n={PB_GATE_NPROCS} (ceiling {pb_ceiling:.2f})")
 
+    # what compression costs in wall time, as a ratio to the raw run
+    ring_s = {
+        compress: _timed(lambda: ring_run(RING_GATE_NPROCS, compress=compress,
+                                          rounds=RING_GATE_ROUNDS),
+                         args.repeats)[0]
+        for compress in (False, True)}
+    ring_ratio = ring_s[True] / ring_s[False]
+    print(f"compressed/raw wall time: {ring_ratio:.2f} at "
+          f"n={RING_GATE_NPROCS} (ceiling {RING_RATIO_CEILING:.2f}, raw "
+          f"{ring_s[False]:.2f}s, compressed {ring_s[True]:.2f}s)")
+
     # small-budget micro-benches: exercised, logged, not gated
     print(f"engine: {engine_events_per_second(50_000):,.0f} events/s")
     print(f"vector merge: {vector_merge_ops_per_second(32, 20_000):,.0f} ops/s")
@@ -110,6 +134,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: compressed piggyback {pb_wire:.2f} bytes/msg exceeds "
               f"the pinned ceiling {pb_ceiling:.2f} "
               f"(latest {args.pb_artifact.name} record + {args.pb_margin:.0%})")
+        failed = True
+    if ring_ratio > RING_RATIO_CEILING:
+        print(f"FAIL: compressed ring wall time is {ring_ratio:.2f}x raw, "
+              f"above the ceiling {RING_RATIO_CEILING:.2f}")
         failed = True
     if failed:
         return 1

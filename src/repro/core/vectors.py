@@ -41,27 +41,20 @@ no per-entry Python loop.  A :class:`TaggedPiggyback` built by
 values so the receiving merge never re-converts the tuple.  Every value
 that leaves this module (indexing, iteration, snapshots, piggyback
 entries) is a plain Python ``int`` — NumPy scalars must not leak into
-checksums, JSON or equality checks.  Without NumPy the same flat-array
-layout falls back to ``array('q')`` with the per-element merge.
+checksums, JSON or equality checks.  The one exception is
+:meth:`DependIntervalVector.delta_since`, whose sorted index array feeds
+the wire codec's array passes directly.
 """
 
 from __future__ import annotations
 
-from array import array
-from operator import ne
 from typing import Iterable, Iterator, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain bakes numpy in
-    _np = None
+import numpy as np
 
-
-def _make_store(values: Iterable[int]):
-    """A flat int64 array of ``values`` (NumPy, or ``array('q')``)."""
-    if _np is not None:
-        return _np.array(list(values), dtype=_np.int64)
-    return array("q", values)
+#: what :meth:`DependIntervalVector.delta_since` returns when nothing changed
+_NO_CHANGES = np.empty(0, dtype=np.int64)
+_NO_CHANGES.flags.writeable = False
 
 
 class TaggedPiggyback(tuple):
@@ -107,8 +100,8 @@ class TaggedPiggyback(tuple):
 class DependIntervalVector:
     """A mutable dependency vector with the epoch-aware merge rule."""
 
-    __slots__ = ("owner", "_v", "_e", "_ekey",
-                 "_track", "_clock", "_stamp", "_log", "_log_base")
+    __slots__ = ("owner", "_v", "_e", "_ekey", "_own_index",
+                 "_track", "_clock", "_stamp", "_log", "_log_len", "_log_base")
 
     def __init__(self, nprocs: int, owner: int,
                  values: Sequence[int] | None = None,
@@ -120,17 +113,21 @@ class DependIntervalVector:
         # enables it — every guard below is a single attribute test)
         self._track = False
         self._clock = 0
-        self._stamp: list[int] | None = None
-        self._log: list[tuple[int, int]] | None = None
+        self._stamp: np.ndarray | None = None
+        self._log: list[tuple[int, np.ndarray]] | None = None
+        self._log_len = 0
         self._log_base = 0
+        # the owner's index as a log batch, shared by every advance_own
+        self._own_index = np.array([owner], dtype=np.int64)
+        self._own_index.flags.writeable = False
         if values is None:
-            self._v = _make_store([0] * nprocs)
+            self._v = np.zeros(nprocs, dtype=np.int64)
         else:
             if len(values) != nprocs:
                 raise ValueError(
                     f"vector length {len(values)} != nprocs {nprocs}"
                 )
-            self._v = _make_store(int(x) for x in values)
+            self._v = np.array([int(x) for x in values], dtype=np.int64)
         if epochs is None:
             self._e = [0] * nprocs
         else:
@@ -185,7 +182,7 @@ class DependIntervalVector:
         """Adopt the owner's current incarnation epoch (on protocol
         construction and after a checkpoint restore)."""
         if int(epoch) != self._e[self.owner] and self._track:
-            self._record((self.owner,))
+            self._record(self._own_index)
         self._e[self.owner] = int(epoch)
         self._ekey = tuple(self._e)
 
@@ -197,15 +194,16 @@ class DependIntervalVector:
         is O(entries changed) to build instead of O(n).
 
         The clock ticks once per mutation batch; a change log of
-        ``(clock, index)`` pairs answers :meth:`delta_since` for recent
-        watermarks, and a per-entry last-change stamp covers watermarks
-        that predate the (bounded) log.
+        ``(clock, index-array)`` batches answers :meth:`delta_since` for
+        recent watermarks, and a per-entry last-change stamp array covers
+        watermarks that predate the (bounded) log.
         """
         if self._track:
             return
         self._track = True
-        self._stamp = [0] * len(self._v)
+        self._stamp = np.zeros(len(self._v), dtype=np.int64)
         self._log = []
+        self._log_len = 0
         self._log_base = 0
 
     @property
@@ -213,40 +211,54 @@ class DependIntervalVector:
         """Monotone mutation clock (0 until tracking sees a change)."""
         return self._clock
 
-    def _record(self, indices) -> None:
-        """Stamp a batch of changed entries (tracking enabled only)."""
+    def _record(self, indices: np.ndarray) -> None:
+        """Stamp one batch of changed entries (tracking enabled only).
+
+        ``indices`` is a sorted, duplicate-free int64 array that the log
+        keeps by reference, so callers hand over arrays they never
+        mutate again."""
         self._clock += 1
         clock = self._clock
+        self._stamp[indices] = clock
         log = self._log
-        stamp = self._stamp
-        for k in indices:
-            log.append((clock, k))
-            stamp[k] = clock
-        # Bound the log at 4n entries: drop the oldest half, remembering
-        # the last dropped clock — watermarks at or past it still get
-        # the O(changed) walk, older ones fall back to the stamp scan.
-        limit = 4 * len(self._v)
-        if len(log) > limit:
-            keep = len(log) // 2
-            self._log_base = log[-keep - 1][0]
-            del log[:-keep]
+        log.append((clock, indices))
+        self._log_len += len(indices)
+        # Bound the log at 4n entries: drop whole oldest batches until at
+        # most 2n entries remain, remembering the last dropped clock —
+        # watermarks at or past it still read the log, older ones fall
+        # back to the stamp scan.  Both answers are exact.
+        if self._log_len > 4 * len(self._v):
+            size, drop = self._log_len, 0
+            while size > 2 * len(self._v):
+                size -= len(log[drop][1])
+                drop += 1
+            self._log_base = log[drop - 1][0]
+            del log[:drop]
+            self._log_len = size
 
-    def delta_since(self, watermark: int) -> tuple[int, ...]:
-        """Sorted indices of every entry whose value or epoch changed
-        after mutation clock ``watermark``."""
+    def delta_since(self, watermark: int) -> np.ndarray:
+        """Sorted int64 indices of every entry whose value or epoch
+        changed after mutation clock ``watermark`` (read-only: the array
+        may be shared with the change log)."""
         if not self._track:
             raise RuntimeError("change tracking is not enabled")
         if watermark >= self._clock:
-            return ()
+            return _NO_CHANGES
         if watermark >= self._log_base:
-            seen: set[int] = set()
-            for clock, k in reversed(self._log):
+            batches = []
+            for clock, indices in reversed(self._log):
                 if clock <= watermark:
                     break
-                seen.add(k)
-            return tuple(sorted(seen))
-        stamp = self._stamp
-        return tuple(k for k in range(len(stamp)) if stamp[k] > watermark)
+                batches.append(indices)
+            if len(batches) == 1:
+                return batches[0]
+            # union of the batches: a mark per entry, then the marked
+            # indexes in order — O(n) with a C-level constant, where a
+            # sort-based unique of up to 4n entries is not
+            marked = np.zeros(len(self._v), dtype=bool)
+            marked[np.concatenate(batches)] = True
+            return np.flatnonzero(marked)
+        return np.flatnonzero(self._stamp > watermark)
 
     def grow_to(self, nprocs: int) -> None:
         """Grow the vector to ``nprocs`` entries (dynamic membership: a
@@ -261,24 +273,23 @@ class DependIntervalVector:
         old = len(self._v)
         if nprocs <= old:
             return
-        if _np is not None and isinstance(self._v, _np.ndarray):
-            grown = _np.zeros(nprocs, dtype=_np.int64)
-            grown[:old] = self._v
-            self._v = grown
-        else:
-            self._v.extend([0] * (nprocs - old))
+        grown = np.zeros(nprocs, dtype=np.int64)
+        grown[:old] = self._v
+        self._v = grown
         self._e.extend([0] * (nprocs - old))
         self._ekey = tuple(self._e)
         if self._track:
-            self._stamp.extend([0] * (nprocs - old))
-            self._record(range(old, nprocs))
+            stamp = np.zeros(nprocs, dtype=np.int64)
+            stamp[:old] = self._stamp
+            self._stamp = stamp
+            self._record(np.arange(old, nprocs, dtype=np.int64))
 
     # ------------------------------------------------------------------
     def advance_own(self) -> int:
         """Record one delivery: ``depend_interval[i] += 1`` (line 20)."""
         self._v[self.owner] += 1
         if self._track:
-            self._record((self.owner,))
+            self._record(self._own_index)
         return int(self._v[self.owner])
 
     def merge(self, piggyback: Sequence[int]) -> int:
@@ -305,33 +316,21 @@ class DependIntervalVector:
         # per-entry in Python here is measurable across a matrix.  A
         # shorter piggyback (sent before its sender learned of a join)
         # merges onto the prefix: absent entries mean "no dependency".
-        if _np is not None:
-            a = getattr(piggyback, "_arr", None)
-            if a is None:
-                a = _np.asarray(piggyback, dtype=_np.int64)
-                if isinstance(piggyback, TaggedPiggyback):
-                    piggyback._arr = a  # prime the cache for re-merges
-            prefix = v if m == len(v) else v[:m]
-            mask = prefix < a
-            if self.owner < m:
-                mask[self.owner] = False
-            changed = _np.count_nonzero(mask)
-            if changed:
-                _np.copyto(prefix, a, where=mask)
-                if self._track:
-                    self._record(_np.nonzero(mask)[0].tolist())
-            return int(changed)
-        merged = list(map(max, v, piggyback))
+        a = getattr(piggyback, "_arr", None)
+        if a is None:
+            a = np.asarray(piggyback, dtype=np.int64)
+            if isinstance(piggyback, TaggedPiggyback):
+                piggyback._arr = a  # prime the cache for re-merges
+        prefix = v if m == len(v) else v[:m]
+        mask = prefix < a
         if self.owner < m:
-            merged[self.owner] = v[self.owner]
-        changed = sum(map(ne, v, merged))
+            mask[self.owner] = False
+        changed = np.count_nonzero(mask)
         if changed:
+            np.copyto(prefix, a, where=mask)
             if self._track:
-                self._record(k for k in range(len(merged))
-                             if merged[k] != v[k])
-            for k in range(m):
-                v[k] = merged[k]
-        return changed
+                self._record(np.flatnonzero(mask))
+        return int(changed)
 
     def _merge_tagged(self, piggyback: Sequence[int],
                       pb_epochs: Sequence[int]) -> int:
@@ -354,7 +353,7 @@ class DependIntervalVector:
         if changed:
             self._ekey = tuple(self._e)
             if self._track:
-                self._record(dirty)
+                self._record(np.array(dirty, dtype=np.int64))
         return changed
 
     def observe_rollback(self, rank: int, interval: int, epoch: int) -> bool:
@@ -371,7 +370,7 @@ class DependIntervalVector:
         self._e[rank] = int(epoch)
         self._ekey = tuple(self._e)
         if self._track:
-            self._record((rank,))
+            self._record(np.array([rank], dtype=np.int64))
         return True
 
     def dominates(self, other: Iterable[int]) -> bool:
@@ -386,8 +385,7 @@ class DependIntervalVector:
     def as_piggyback(self) -> TaggedPiggyback:
         """The epoch-tagged piggyback payload of a send."""
         pb = TaggedPiggyback(self._v.tolist(), self._ekey)
-        if _np is not None:
-            pb._arr = self._v.copy()  # snapshot: the vector keeps mutating
+        pb._arr = self._v.copy()  # snapshot: the vector keeps mutating
         return pb
 
     def snapshot(self) -> dict[str, list[int]]:

@@ -1,30 +1,15 @@
-"""Wire formats for the piggyback payloads.
+"""Wire formats for the compressed piggyback payloads.
 
-The simulator ships piggybacks as Python objects and *accounts* their
-wire size as ``identifiers x 4 bytes``.  This module provides the actual
-codecs a native implementation would use, so that accounting is grounded
-rather than asserted:
-
-* TDI: the dependent-interval vector + send index — ``(n + 1)`` unsigned
-  32-bit integers while every entry refers to incarnation 0 (any
-  failure-free run), growing to ``(2n + 1)`` once a rollback has bumped
-  an epoch and the per-entry epoch vector must ride along.  The two
-  forms are distinguished by length, so the lightweight claim the paper
-  makes (and Fig. 6 measures) is preserved exactly when nothing fails;
-* TAG/TEL: a determinant list — 4 identifiers per determinant (receiver,
-  deliver_index, sender, send_index), preceded by a count;
-* TEL additionally carries its n-entry stability vector.
-
-Round-trip tests pin codec length == the protocols' accounted bytes.
-
-Compressed wire layer (``SimulationConfig(compress_piggybacks=True)``)
-----------------------------------------------------------------------
-The fixed-width codecs above are linear in the process count on every
-send and hard-capped at 32-bit counts.  The varint record family below
-removes both limits:
+Raw mode ships piggybacks as Python objects and *accounts* their wire
+size as ``identifiers x IDENTIFIER_BYTES`` — the paper's Fig. 6 unit;
+nothing on the raw path encodes bytes.  Under
+``SimulationConfig(compress_piggybacks=True)`` every piggyback becomes a
+record of the varint family below, and its real length is what
+``piggyback_bytes_wire`` counts:
 
 * every integer is an **LEB128 varint** — small counts cost one byte,
-  and counts beyond 2^32 (long-running systems) encode fine;
+  and counts past 2^32 (long-running systems) encode fine, up to the
+  int64 identifier range (2^63 − 1);
 * a **vector record** ships a depend-interval piggyback in one of three
   modes, tagged in a header byte: ``FULL_DENSE`` (all ``n`` entries),
   ``FULL_SPARSE`` (only the entries whose value or epoch is nonzero,
@@ -33,15 +18,16 @@ removes both limits:
   the receiver's reconstructed base).  ``encode_vector_full`` picks
   dense vs sparse exactly (whichever is shorter); the per-channel
   delta-vs-full decision lives in :mod:`repro.protocols.compression`;
-* a **determinant record** is the varint form of the determinant list,
-  with an optional stability-vector record appended for TEL.
+* a **determinant record** (TAG / TEL / PART) is the varint form of the
+  determinant list, with TEL's stability vector appended; its layout
+  lives with its codec in :mod:`repro.protocols.compression`.
 
 Record layout (header byte = ``mode | flags``):
 
 ====================  =================================================
-``FULL_DENSE``  (0)   header, [seq], v_0..v_{n-1}, [e_0..e_{n-1}],
+``FULL_DENSE``  (0)   header, [n], [seq], v_0..v_{n-1}, [e_0..e_{n-1}],
                       send_index
-``FULL_SPARSE`` (1)   header, [seq], count, count × (gap, value,
+``FULL_SPARSE`` (1)   header, [n], [seq], count, count × (gap, value,
                       [epoch]), send_index
 ``DELTA``       (2)   header, seq, count, count × (gap, value,
                       [epoch]), send_index
@@ -49,185 +35,182 @@ Record layout (header byte = ``mode | flags``):
 
 ``FLAG_EPOCHS`` (0x10) marks that per-entry epochs ride along;
 ``FLAG_STANDALONE`` (0x20) marks a record that neither carries a stream
-sequence number nor touches any channel state (log resends).  ``gap``
-is the distance from the previous shipped index (first gap = index), so
-clustered sparse entries cost one byte each.
+sequence number nor touches any channel state (log resends);
+``FLAG_COUNTED`` (0x40) marks that the vector length ``n`` follows the
+header.  ``gap`` is the distance from the previous shipped index (first
+gap = index), so clustered sparse entries cost one byte each.
+
+Array codec
+-----------
+Every record is one header byte followed by one stream of varints, so
+each record is encoded and decoded by a fixed handful of numpy passes
+over that stream (:func:`pack_varints`, :class:`VarintStream`) — no
+Python call per integer.  A stream whose every element is below 0x80 is
+just its ``uint8`` image.  Otherwise the encoder lays the stream out as
+a value × byte-position matrix (shift, 7-bit mask, and a continuation
+bit from comparing each value against the thresholds 2^7, 2^14, …) and
+keeps the bytes each value has, in row order, which is wire order.  The
+decoder finds the varint ends with one continuation-bit scan
+(``flatnonzero(buf < 0x80)``) and folds in lower bytes with one gather
+per further byte position.  Dense and sparse sizes of a full record are
+compared arithmetically, and only the shorter body is built.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import NamedTuple, Sequence
 
-from repro.protocols.pwd import Determinant
+import numpy as np
 
 #: one identifier on the wire (the paper's unit in Fig. 6)
 IDENTIFIER_BYTES = 4
-_U32_MAX = (1 << 32) - 1
 
-
-def _check_u32(values: Sequence[int]) -> None:
-    for v in values:
-        if not (0 <= v <= _U32_MAX):
-            raise ValueError(f"identifier {v} does not fit in 32 bits")
-
-
-# ----------------------------------------------------------------------
-# TDI: vector + send index
-# ----------------------------------------------------------------------
-
-def encode_tdi(vector: Sequence[int], send_index: int,
-               epochs: Sequence[int] | None = None) -> bytes:
-    """Serialise a TDI piggyback.
-
-    ``epochs`` defaults to the vector's own ``epochs`` attribute when it
-    is a :class:`~repro.core.vectors.TaggedPiggyback`.  All-zero epochs
-    (no incarnation past the first anywhere in the entries) use the
-    paper's compact ``n + 1`` form; otherwise the epoch vector is
-    appended before the send index — ``2n + 1`` identifiers.
-    """
-    if epochs is None:
-        epochs = getattr(vector, "epochs", None)
-    values = list(vector)
-    if epochs is not None and any(epochs):
-        if len(epochs) != len(values):
-            raise ValueError(
-                f"epoch vector length {len(epochs)} != vector length "
-                f"{len(values)}")
-        values += list(epochs)
-    values.append(send_index)
-    _check_u32(values)
-    return struct.pack(f"<{len(values)}I", *values)
-
-
-def decode_tdi(data: bytes, nprocs: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Inverse of :func:`encode_tdi`; returns (vector, epochs, send_index).
-
-    The two wire forms are distinguished by length: ``n + 1`` words is
-    the compact epoch-0 form, ``2n + 1`` words carries explicit epochs.
-    """
-    compact = (nprocs + 1) * IDENTIFIER_BYTES
-    tagged = (2 * nprocs + 1) * IDENTIFIER_BYTES
-    if len(data) == compact:
-        values = struct.unpack(f"<{nprocs + 1}I", data)
-        return values[:nprocs], (0,) * nprocs, values[nprocs]
-    if len(data) == tagged:
-        values = struct.unpack(f"<{2 * nprocs + 1}I", data)
-        return values[:nprocs], values[nprocs:2 * nprocs], values[2 * nprocs]
-    raise ValueError(
-        f"TDI piggyback is {len(data)} bytes, expected {compact} (compact) "
-        f"or {tagged} (epoch-tagged)")
-
-
-def tdi_wire_bytes(nprocs: int, tagged: bool = False) -> int:
-    """Encoded size of a TDI piggyback — ``n + 1`` identifiers in the
-    compact form, ``2n + 1`` once epoch tagging is active."""
-    n_identifiers = 2 * nprocs + 1 if tagged else nprocs + 1
-    return n_identifiers * IDENTIFIER_BYTES
-
-
-# ----------------------------------------------------------------------
-# Determinant lists (TAG, TEL, and the event-logger traffic)
-# ----------------------------------------------------------------------
-
-def encode_determinants(dets: Sequence[Determinant]) -> bytes:
-    """Serialise a determinant list: count + 4 u32 per determinant."""
-    flat: list[int] = [len(dets)]
-    for det in dets:
-        flat.extend((det.receiver, det.deliver_index, det.sender, det.send_index))
-    _check_u32(flat)
-    return struct.pack(f"<{len(flat)}I", *flat)
-
-
-def decode_determinants(data: bytes) -> list[Determinant]:
-    """Inverse of :func:`encode_determinants`."""
-    if len(data) < IDENTIFIER_BYTES:
-        raise ValueError("determinant list missing its count header")
-    (count,) = struct.unpack_from("<I", data)
-    expected = (1 + 4 * count) * IDENTIFIER_BYTES
-    if len(data) != expected:
-        raise ValueError(
-            f"determinant list is {len(data)} bytes, expected {expected} for "
-            f"{count} determinants"
-        )
-    values = struct.unpack_from(f"<{4 * count}I", data, IDENTIFIER_BYTES)
-    return [
-        Determinant(*values[4 * i: 4 * i + 4])
-        for i in range(count)
-    ]
-
-
-def determinants_wire_bytes(count: int) -> int:
-    """Encoded size of a determinant list (excl. the count header, which
-    the protocols' accounting folds into the frame header)."""
-    return 4 * count * IDENTIFIER_BYTES
-
-
-# ----------------------------------------------------------------------
-# TEL: determinants + stability vector + send index
-# ----------------------------------------------------------------------
-
-def encode_tel(dets: Sequence[Determinant], stable: Sequence[int],
-               send_index: int) -> bytes:
-    """Serialise a TEL piggyback."""
-    head = encode_determinants(dets)
-    tail_values = list(stable) + [send_index]
-    _check_u32(tail_values)
-    return head + struct.pack(f"<{len(tail_values)}I", *tail_values)
-
-
-def decode_tel(data: bytes, nprocs: int) -> tuple[list[Determinant], tuple[int, ...], int]:
-    """Inverse of :func:`encode_tel`."""
-    (count,) = struct.unpack_from("<I", data)
-    det_bytes = (1 + 4 * count) * IDENTIFIER_BYTES
-    dets = decode_determinants(data[:det_bytes])
-    tail = struct.unpack(f"<{nprocs + 1}I", data[det_bytes:])
-    return dets, tail[:nprocs], tail[nprocs]
+#: a value needs ``k + 1`` varint bytes iff it is >= 2^(7k)
+_THRESHOLDS = tuple(1 << (7 * k) for k in range(1, 9))
+#: bytes of the longest varint an int64 identifier needs (63 bits)
+_MAX_VARINT_BYTES = 9
+_INT64_MAX = (1 << 63) - 1
+#: per varint width ``w`` (1..9), the constant rows the encoder's byte
+#: matrix broadcasts against: byte ``j``'s bit shift, the value at which
+#: byte ``j`` is present, and the value past which it has a successor
+_SHIFTS = [None] + [7 * np.arange(w, dtype=np.int64) for w in range(1, 10)]
+_PRESENT = [None] + [np.array([0, *_THRESHOLDS][:w], dtype=np.int64)
+                     for w in range(1, 10)]
+_CONTINUED = [None] + [np.array([t - 1 for t in _THRESHOLDS] + [_INT64_MAX],
+                                dtype=np.int64)[:w] for w in range(1, 10)]
 
 
 # ======================================================================
-# Compressed wire layer: varints
+# The array LEB128 codec
 # ======================================================================
-
-def encode_uvarint(value: int) -> bytes:
-    """LEB128: 7 value bits per byte, high bit = continuation."""
-    if value < 0:
-        raise ValueError(f"identifier {value} is negative")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Inverse of :func:`encode_uvarint`; returns (value, next_offset)."""
-    value = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise ValueError("truncated varint")
-        byte = data[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
-        shift += 7
-
 
 def uvarint_len(value: int) -> int:
     """Encoded length of one varint, without building it."""
     if value < 0:
         raise ValueError(f"identifier {value} is negative")
-    length = 1
-    while value > 0x7F:
-        value >>= 7
-        length += 1
-    return length
+    return max(1, (value.bit_length() + 6) // 7)
+
+
+def _fits(value: int) -> int:
+    """``value``, checked against the int64 identifier range's top."""
+    if value > _INT64_MAX:
+        raise ValueError(f"identifier {value} does not fit in 63 bits")
+    return value
+
+
+def as_identifiers(values) -> np.ndarray:
+    """``values`` as an int64 array (an array passes through), rejecting
+    anything beyond the int64 identifier range."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("identifier does not fit in 63 bits") from None
+
+
+def _check_nonnegative(values: np.ndarray) -> None:
+    if len(values) and values.min() < 0:
+        first = values[np.flatnonzero(values < 0)[0]]
+        raise ValueError(f"identifier {int(first)} is negative")
+
+
+def varints_size(values: np.ndarray) -> int:
+    """Encoded size of every (non-negative) element, in bytes."""
+    size = len(values)
+    if size:
+        top = values.max()
+        for threshold in _THRESHOLDS:
+            if top < threshold:
+                break
+            size += int(np.count_nonzero(values >= threshold))
+    return size
+
+
+def pack_varints(header: int, values: np.ndarray) -> bytes:
+    """``header`` byte, then every element of the int64 array ``values``
+    as an LEB128 varint (``ValueError`` names the first negative one)."""
+    _check_nonnegative(values)
+    top = int(values.max())
+    if top < 0x80:
+        return bytes((header,)) + values.astype(np.uint8).tobytes()
+    # one row per value, one column per byte position up to the widest
+    # varint: every byte is computed at once, and the bytes each value
+    # actually has are kept in row-major order, which is wire order
+    width = (top.bit_length() + 6) // 7
+    col = values[:, None]
+    rows = ((col >> _SHIFTS[width]) & 0x7F) | ((col > _CONTINUED[width]) << 7)
+    kept = rows[col >= _PRESENT[width]].astype(np.uint8)
+    return bytes((header,)) + kept.tobytes()
+
+
+class VarintStream:
+    """Positional reader over every complete varint of ``data`` from
+    ``offset`` on, all decoded up front in one array pass.
+
+    The pass finds the varint ends with one continuation-bit scan
+    (``flatnonzero(buf < 0x80)``); each end byte holds its varint's top
+    seven bits, and one gather per further byte position, walking back
+    from the ends over the varints that reach that far, folds in the
+    lower bits.  Bytes after the last complete varint (a truncated one)
+    stay unread, so reading into them raises "truncated varint" and
+    :meth:`finish` counts them as trailing.  A varint too long for an
+    int64 identifier ends the readable values the same way.
+    """
+
+    __slots__ = ("data", "offset", "values", "ends", "pos", "short")
+
+    def __init__(self, data: bytes, offset: int) -> None:
+        self.data = data
+        self.offset = offset
+        self.pos = 0
+        #: why reading stops after the last value
+        self.short = "truncated varint"
+        buf = np.frombuffer(data, dtype=np.uint8)[offset:]
+        last = np.flatnonzero(buf < 0x80)
+        values = buf[last].astype(np.int64)
+        if len(last) < len(buf) and len(last):
+            # a varint reaches back past its end byte iff the byte before
+            # it is a continuation byte (the first: iff it is not byte 0)
+            reach = buf[last - 1] >= 0x80
+            reach[0] = last[0] > 0
+            sel = np.flatnonzero(reach)
+            at = last[sel]
+            for _ in range(1, _MAX_VARINT_BYTES):
+                at = at - 1
+                values[sel] = (values[sel] << 7) | (buf[at] & 0x7F)
+                more = np.flatnonzero((buf[at - 1] >= 0x80) & (at > 0))
+                sel, at = sel[more], at[more]
+                if not len(sel):
+                    break
+            else:
+                readable = int(sel[0])
+                self.short = "varint exceeds 63 bits"
+                last, values = last[:readable], values[:readable]
+        self.values = values
+        #: offset just past each varint
+        self.ends = last + (offset + 1)
+
+    def _advance(self, count: int) -> int:
+        start = self.pos
+        stop = start + count
+        if stop > len(self.values):
+            raise ValueError(self.short)
+        self.pos = stop
+        return start
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` values."""
+        start = self._advance(count)
+        return self.values[start:start + count]
+
+    def one(self) -> int:
+        """The next value."""
+        return int(self.values[self._advance(1)])
+
+    def finish(self) -> None:
+        """Reject bytes past the last value read."""
+        end = int(self.ends[self.pos - 1]) if self.pos else self.offset
+        if end != len(self.data):
+            raise ValueError(f"{len(self.data) - end} trailing bytes")
 
 
 # ----------------------------------------------------------------------
@@ -257,90 +240,134 @@ class VectorRecord(NamedTuple):
     #: stream position on the channel (None for standalone records)
     seq: int | None
     send_index: int
-    #: FULL modes: the complete value/epoch tuples; DELTA: None
-    values: tuple | None
-    epochs: tuple | None
-    #: DELTA mode: sorted ``(index, value, epoch)`` changes; FULL: None
-    changes: tuple | None
+    #: FULL modes: all ``n`` entries; DELTA: the changed entries, in
+    #: index order.  int64 arrays; epochs are zeros when none rode along
+    values: np.ndarray
+    epochs: np.ndarray
+    #: DELTA mode: the sorted indexes of the changed entries; FULL: None
+    indexes: np.ndarray | None
 
-
-def _encode_entries(out: bytearray, entries: Sequence[tuple[int, int, int]],
-                    with_epochs: bool) -> None:
-    out += encode_uvarint(len(entries))
-    prev = -1
-    for index, value, epoch in entries:
-        out += encode_uvarint(index - prev - 1 if prev >= 0 else index)
-        out += encode_uvarint(value)
-        if with_epochs:
-            out += encode_uvarint(epoch)
-        prev = index
-
-
-def _decode_entries(data: bytes, offset: int, with_epochs: bool,
-                    ) -> tuple[list[tuple[int, int, int]], int]:
-    count, offset = decode_uvarint(data, offset)
-    entries: list[tuple[int, int, int]] = []
-    index = -1
-    for _ in range(count):
-        gap, offset = decode_uvarint(data, offset)
-        index = index + gap + 1 if index >= 0 else gap
-        value, offset = decode_uvarint(data, offset)
-        epoch = 0
-        if with_epochs:
-            epoch, offset = decode_uvarint(data, offset)
-        entries.append((index, value, epoch))
-    return entries, offset
+    @property
+    def changes(self) -> tuple[tuple[int, int, int], ...] | None:
+        """DELTA mode: the ``(index, value, epoch)`` triples; FULL: None."""
+        if self.indexes is None:
+            return None
+        return tuple(zip(self.indexes.tolist(), self.values.tolist(),
+                         self.epochs.tolist()))
 
 
 def encode_vector_full(values: Sequence[int], epochs: Sequence[int],
                        send_index: int, *, seq: int | None = None) -> bytes:
     """A self-contained vector record: dense or sparse, whichever is
-    shorter (exact — both bodies are built and the minimum wins).
+    shorter (exact — the size difference is computed, and only the
+    winning body is built).
 
-    ``seq=None`` produces a standalone record (``FLAG_STANDALONE``) that
-    receivers decode without consulting or updating channel state — the
-    form every log resend uses.
+    ``values`` may be a :class:`~repro.core.vectors.TaggedPiggyback`,
+    whose cached int64 array is read directly.  ``seq=None`` produces a
+    standalone record (``FLAG_STANDALONE``) that receivers decode without
+    consulting or updating channel state — the form every log resend
+    uses.
     """
     n = len(values)
     if len(epochs) != n:
         raise ValueError(f"epoch vector length {len(epochs)} != {n}")
-    with_epochs = any(epochs)
-    flags = FLAG_COUNTED | (FLAG_EPOCHS if with_epochs else 0) | (
+    head = (n,) if seq is None else (n, seq)
+    for value in head[1:] + (send_index,):
+        if value < 0:
+            raise ValueError(f"identifier {value} is negative")
+        _fits(value)
+    cached = getattr(values, "_arr", None)
+    vals = cached if cached is not None else as_identifiers(values)
+    _check_nonnegative(vals)
+    eps = None
+    if epochs.any() if isinstance(epochs, np.ndarray) else any(epochs):
+        eps = as_identifiers(epochs)
+        _check_nonnegative(eps)
+    flags = FLAG_COUNTED | (FLAG_EPOCHS if eps is not None else 0) | (
         FLAG_STANDALONE if seq is None else 0)
-    head = bytearray(encode_uvarint(n))
-    if seq is not None:
-        head += encode_uvarint(seq)
-    tail = encode_uvarint(send_index)
+    width = 2 if eps is None else 3
+    hot = np.flatnonzero(vals if eps is None else vals | eps)
+    k = len(hot)
+    # A hot entry costs the same value (and epoch) bytes in both bodies,
+    # so sparse is shorter exactly when the zero entries' bytes in the
+    # dense body (one per value, one per epoch) exceed the sparse
+    # count's and gaps' bytes; a gap costs at least one byte.
+    spare = (n - k) * (width - 1)
+    gaps = None
+    if spare > uvarint_len(k) + k:
+        gaps = hot.copy()
+        gaps[1:] -= hot[:-1] + 1
+        if spare <= uvarint_len(k) + varints_size(gaps):
+            gaps = None
+    h = len(head)
+    if gaps is None:
+        stream = np.empty(h + (width - 1) * n + 1, dtype=np.int64)
+        stream[h:h + n] = vals
+        if eps is not None:
+            stream[h + n:-1] = eps
+        mode = FULL_DENSE
+    else:
+        stream = np.empty(h + 1 + width * k + 1, dtype=np.int64)
+        stream[h] = k
+        body = stream[h + 1:-1].reshape(k, width)
+        body[:, 0] = gaps
+        body[:, 1] = vals[hot]
+        if eps is not None:
+            body[:, 2] = eps[hot]
+        mode = FULL_SPARSE
+    stream[:h] = head
+    stream[-1] = send_index
+    return pack_varints(mode | flags, stream)
 
-    dense = bytearray([FULL_DENSE | flags])
-    dense += head
-    for v in values:
-        dense += encode_uvarint(v)
-    if with_epochs:
-        for e in epochs:
-            dense += encode_uvarint(e)
-    dense += tail
 
-    sparse = bytearray([FULL_SPARSE | flags])
-    sparse += head
-    entries = [(i, int(values[i]), int(epochs[i]))
-               for i in range(n) if values[i] or epochs[i]]
-    _encode_entries(sparse, entries, with_epochs)
-    sparse += tail
-    return bytes(sparse) if len(sparse) < len(dense) else bytes(dense)
+def vector_delta_stream(changes, send_index: int,
+                        seq: int) -> tuple[int, np.ndarray]:
+    """The header byte and varint stream of a delta record (see
+    :func:`encode_vector_delta`), unpacked: its size is
+    ``1 + varints_size(stream)`` before any byte is built."""
+    table = as_identifiers(changes).reshape(-1, 3)
+    k = len(table)
+    with_epochs = bool(table[:, 2].any())
+    width = 3 if with_epochs else 2
+    stream = np.empty(2 + width * k + 1, dtype=np.int64)
+    stream[0] = _fits(seq)
+    stream[1] = k
+    body = stream[2:-1].reshape(k, width)
+    body[:, :width] = table[:, :width]
+    body[1:, 0] -= table[:-1, 0] + 1  # index -> gap from the previous one
+    stream[-1] = _fits(send_index)
+    return DELTA | (FLAG_EPOCHS if with_epochs else 0), stream
 
 
-def encode_vector_delta(changes: Sequence[tuple[int, int, int]],
-                        send_index: int, seq: int) -> bytes:
+def encode_vector_delta(changes, send_index: int, seq: int) -> bytes:
     """A delta record against the receiver's per-channel base: only the
     ``(index, value, epoch)`` entries that changed since the previous
-    record on this channel, O(changed) to build."""
-    with_epochs = any(epoch for _, _, epoch in changes)
-    out = bytearray([DELTA | (FLAG_EPOCHS if with_epochs else 0)])
-    out += encode_uvarint(seq)
-    _encode_entries(out, changes, with_epochs)
-    out += encode_uvarint(send_index)
-    return bytes(out)
+    record on this channel, in index order, O(changed) to build.
+    ``changes`` is a sequence of triples or a ``(k, 3)`` int64 array."""
+    return pack_varints(*vector_delta_stream(changes, send_index, seq))
+
+
+def _take_entries(stream: VarintStream, nprocs: int, with_epochs: bool,
+                  kind: str,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Parse ``count, count × (gap, value, [epoch]), send_index``;
+    returns (indexes, values, epochs, send_index)."""
+    count = stream.one()
+    width = 3 if with_epochs else 2
+    table = stream.take(count * width).reshape(count, width)
+    send_index = stream.one()
+    stream.finish()
+    gaps = table[:, 0]
+    values = table[:, 1]
+    epochs = table[:, 2] if with_epochs else np.zeros(count, dtype=np.int64)
+    # clipping each gap at nprocs keeps the cumsum from wrapping and
+    # leaves every in-range index exact
+    indexes = np.cumsum(np.minimum(gaps, nprocs) + 1) - 1
+    if count and indexes[-1] >= nprocs:
+        first = int(np.argmax(indexes >= nprocs))
+        index = (int(indexes[first - 1]) + 1 if first else 0) + int(gaps[first])
+        raise ValueError(f"{kind} index {index} >= nprocs {nprocs}")
+    return indexes, values, epochs, send_index
 
 
 def decode_vector_record(data: bytes, nprocs: int) -> VectorRecord:
@@ -353,88 +380,38 @@ def decode_vector_record(data: bytes, nprocs: int) -> VectorRecord:
     mode = header & _MODE_MASK
     with_epochs = bool(header & FLAG_EPOCHS)
     standalone = bool(header & FLAG_STANDALONE)
-    offset = 1
     seq = None
     if mode == DELTA and standalone:
         raise ValueError("delta records cannot be standalone")
+    stream = VarintStream(data, 1)
     if header & FLAG_COUNTED:
         # the record names its own vector length; ``nprocs`` stays the
         # legacy fallback for uncounted (pre-membership) records
-        nprocs, offset = decode_uvarint(data, offset)
+        nprocs = stream.one()
         if nprocs < 1:
             raise ValueError("counted record with zero-length vector")
     if not standalone:
-        seq, offset = decode_uvarint(data, offset)
+        seq = stream.one()
     if mode == FULL_DENSE:
-        values = []
-        for _ in range(nprocs):
-            v, offset = decode_uvarint(data, offset)
-            values.append(v)
-        epochs = [0] * nprocs
-        if with_epochs:
-            epochs = []
-            for _ in range(nprocs):
-                e, offset = decode_uvarint(data, offset)
-                epochs.append(e)
-        send_index, offset = decode_uvarint(data, offset)
-        if offset != len(data):
-            raise ValueError(f"{len(data) - offset} trailing bytes")
+        values = stream.take(nprocs)
+        epochs = stream.take(nprocs) if with_epochs else \
+            np.zeros(nprocs, dtype=np.int64)
+        send_index = stream.one()
+        stream.finish()
         return VectorRecord(mode, standalone, seq, send_index,
-                            tuple(values), tuple(epochs), None)
+                            values, epochs, None)
     if mode == FULL_SPARSE:
-        entries, offset = _decode_entries(data, offset, with_epochs)
-        send_index, offset = decode_uvarint(data, offset)
-        if offset != len(data):
-            raise ValueError(f"{len(data) - offset} trailing bytes")
-        values = [0] * nprocs
-        epochs = [0] * nprocs
-        for index, value, epoch in entries:
-            if index >= nprocs:
-                raise ValueError(f"sparse index {index} >= nprocs {nprocs}")
-            values[index] = value
-            epochs[index] = epoch
+        indexes, hot_values, hot_epochs, send_index = _take_entries(
+            stream, nprocs, with_epochs, "sparse")
+        values = np.zeros(nprocs, dtype=np.int64)
+        epochs = np.zeros(nprocs, dtype=np.int64)
+        values[indexes] = hot_values
+        epochs[indexes] = hot_epochs
         return VectorRecord(mode, standalone, seq, send_index,
-                            tuple(values), tuple(epochs), None)
+                            values, epochs, None)
     if mode == DELTA:
-        entries, offset = _decode_entries(data, offset, with_epochs)
-        send_index, offset = decode_uvarint(data, offset)
-        if offset != len(data):
-            raise ValueError(f"{len(data) - offset} trailing bytes")
-        for index, _, _ in entries:
-            if index >= nprocs:
-                raise ValueError(f"delta index {index} >= nprocs {nprocs}")
+        indexes, values, epochs, send_index = _take_entries(
+            stream, nprocs, with_epochs, "delta")
         return VectorRecord(mode, standalone, seq, send_index,
-                            None, None, tuple(entries))
+                            values, epochs, indexes)
     raise ValueError(f"unknown vector-record mode {mode}")
-
-
-# ----------------------------------------------------------------------
-# Determinant records (TAG / TEL / PART compressed piggybacks)
-# ----------------------------------------------------------------------
-
-def encode_determinants_varint(dets: Sequence[Determinant]) -> bytes:
-    """Varint determinant list: count + 4 varints per determinant.  No
-    32-bit ceiling, and small indexes (the common case) cost one byte."""
-    out = bytearray()
-    out += encode_uvarint(len(dets))
-    for det in dets:
-        out += encode_uvarint(det.receiver)
-        out += encode_uvarint(det.deliver_index)
-        out += encode_uvarint(det.sender)
-        out += encode_uvarint(det.send_index)
-    return bytes(out)
-
-
-def decode_determinants_varint(data: bytes, offset: int = 0,
-                               ) -> tuple[list[Determinant], int]:
-    """Inverse of :func:`encode_determinants_varint`; returns
-    (determinants, next_offset)."""
-    count, offset = decode_uvarint(data, offset)
-    dets: list[Determinant] = []
-    for _ in range(count):
-        receiver, offset = decode_uvarint(data, offset)
-        deliver_index, offset = decode_uvarint(data, offset)
-        sender, offset = decode_uvarint(data, offset)
-        send_index, offset = decode_uvarint(data, offset)
-        dets.append(Determinant(receiver, deliver_index, sender, send_index))
-    return dets, offset

@@ -12,8 +12,8 @@ instance, one channel per destination:
   channel's *watermark* — the vector's mutation clock at the previous
   record — built in O(changed) from the vector's dirty-entry log;
 * a DELTA that would not beat the full form falls back to a stream FULL
-  (exact: the comparison encodes both once the delta is big enough to
-  possibly lose);
+  (exact: once the delta is big enough to possibly lose, its size is
+  computed from its varint stream and compared with the full record's);
 * :meth:`VectorDeltaEncoder.invalidate` drops a channel when its peer
   enters a new incarnation epoch (the peer's decoder state died with
   it), so the next send re-establishes with a FULL.
@@ -41,6 +41,13 @@ order and (FIFO channels — the raw clean network's guarantee, restored
 exactly-once by the reliable transport under impairment) decoded at
 arrival in that same order, each at most once.
 
+Both sides work on int64 arrays: a delta's entries are gathered from
+the piggyback's cached array at the change log's index array, and each
+decoder channel keeps its base as value/epoch arrays that deltas update
+by fancy indexing (copy-on-write, so a piggyback handed out earlier
+never changes under its holder).  Every decoded piggyback comes with its
+array cache primed, so the receiving merge reads it without conversion.
+
 The PWD-family piggybacks (TAG / TEL / PART determinant increments) are
 self-contained, so their compressed form is stateless: a varint
 determinant list, plus TEL's stability vector.
@@ -48,10 +55,14 @@ determinant list, plus TEL's stability vector.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
+
+import numpy as np
 
 from repro.core import wire
 from repro.core.vectors import DependIntervalVector, TaggedPiggyback
+from repro.protocols.pwd import Determinant
 
 
 class UndecodablePiggyback(Exception):
@@ -109,7 +120,7 @@ class VectorDeltaEncoder:
         chan = self._channels.get(dest)
         if chan is None:
             blob = wire.encode_vector_full(
-                tuple(piggyback), piggyback.epochs, send_index, seq=0)
+                piggyback, piggyback.epochs, send_index, seq=0)
             self._channels[dest] = [clock, 0]
             fell_back = dest in self._ever
             self._ever.add(dest)
@@ -117,23 +128,40 @@ class VectorDeltaEncoder:
         watermark, seq = chan
         seq += 1
         changed = self.vector.delta_since(watermark)
-        changes = tuple(
-            (k, piggyback[k], piggyback.epochs[k]) for k in changed)
-        blob = wire.encode_vector_delta(changes, send_index, seq)
+        values = piggyback._arr
+        if values is None:
+            values = piggyback._arr = np.asarray(piggyback, dtype=np.int64)
+        changes = np.empty((len(changed), 3), dtype=np.int64)
+        changes[:, 0] = changed
+        changes[:, 1] = values[changed]
+        changes[:, 2] = np.asarray(piggyback.epochs)[changed] \
+            if piggyback.tagged else 0
+        header, stream = wire.vector_delta_stream(changes, send_index, seq)
+        size = 1 + wire.varints_size(stream)
         fell_back = False
         # Exact fallback: any record shorter than n + 3 bytes is provably
         # no larger than the dense full form (header + seq + n values +
         # send_index, one byte minimum each) — only past that can a full
-        # record win, and then the comparison is done for real.
-        if len(blob) >= n + 3:
-            full = wire.encode_vector_full(
-                tuple(piggyback), piggyback.epochs, send_index, seq=seq)
-            if len(full) <= len(blob):
-                blob = full
-                fell_back = True
+        # record win, and then the full record is built and compared
+        # against the delta's computed size.
+        if size >= n + 3:
+            blob = wire.encode_vector_full(
+                piggyback, piggyback.epochs, send_index, seq=seq)
+            fell_back = len(blob) <= size
+        if not fell_back:
+            blob = wire.pack_varints(header, stream)
         chan[0] = clock
         chan[1] = seq
         return blob, fell_back
+
+
+def _decoded(values: np.ndarray, epochs: np.ndarray) -> TaggedPiggyback:
+    """A piggyback over decoded arrays, its merge cache already primed
+    (``values`` is never written again: channel bases are copy-on-write)."""
+    pb = TaggedPiggyback(values.tolist(),
+                         epochs.tolist() if epochs.any() else None)
+    pb._arr = values
+    return pb
 
 
 class VectorDeltaDecoder:
@@ -141,7 +169,7 @@ class VectorDeltaDecoder:
 
     def __init__(self, nprocs: int) -> None:
         self.nprocs = nprocs
-        #: src -> [next_expected_seq, values, epochs]
+        #: src -> [next_expected_seq, values, epochs] (int64 arrays)
         self._channels: dict[int, list[Any]] = {}
 
     def decode(self, src: int, blob: bytes) -> tuple[TaggedPiggyback, int]:
@@ -155,9 +183,8 @@ class VectorDeltaDecoder:
             if not rec.standalone:
                 # stream FULL: (re-)establish the channel — a brand-new
                 # sender incarnation resets an existing chain this way
-                self._channels[src] = [
-                    rec.seq + 1, list(rec.values), list(rec.epochs)]
-            return TaggedPiggyback(rec.values, rec.epochs), rec.send_index
+                self._channels[src] = [rec.seq + 1, rec.values, rec.epochs]
+            return _decoded(rec.values, rec.epochs), rec.send_index
         chan = self._channels.get(src)
         if chan is None:
             raise UndecodablePiggyback(
@@ -167,17 +194,21 @@ class VectorDeltaDecoder:
                 f"delta from rank {src} has seq {rec.seq}, expected {chan[0]}")
         chan[0] += 1
         values, epochs = chan[1], chan[2]
-        for index, value, epoch in rec.changes:
-            if index >= len(values):
-                # base established before the sender's vector grew (the
-                # encoder re-establishes on growth, but a delta encoded
-                # just before can arrive after): absent entries are zero
-                pad = index + 1 - len(values)
-                values.extend([0] * pad)
-                epochs.extend([0] * pad)
-            values[index] = value
-            epochs[index] = epoch
-        return TaggedPiggyback(values, epochs), rec.send_index
+        indexes = rec.indexes
+        if len(indexes):
+            width = max(len(values), int(indexes[-1]) + 1)
+            # a base established before the sender's vector grew (the
+            # encoder re-establishes on growth, but a delta encoded just
+            # before can arrive after): absent entries are zero
+            grown_values = np.zeros(width, dtype=np.int64)
+            grown_values[:len(values)] = values
+            grown_epochs = np.zeros(width, dtype=np.int64)
+            grown_epochs[:len(epochs)] = epochs
+            grown_values[indexes] = rec.values
+            grown_epochs[indexes] = rec.epochs
+            values = chan[1] = grown_values
+            epochs = chan[2] = grown_epochs
+        return _decoded(values, epochs), rec.send_index
 
 
 # ----------------------------------------------------------------------
@@ -190,17 +221,20 @@ PWD_FLAG_STABLE = 0x01
 
 def encode_pwd_piggyback(piggyback: Any, send_index: int) -> bytes | None:
     """Compressed form of a determinant-increment piggyback; ``None``
-    passes through (the pessimistic baseline piggybacks nothing)."""
+    passes through (the pessimistic baseline piggybacks nothing).
+
+    Layout: flags byte, then the varints ``send_index, count,
+    count × (receiver, deliver_index, sender, send_index), [stable]``.
+    """
     if piggyback is None:
         return None
     stable = piggyback.get("stable")
-    out = bytearray([PWD_FLAG_STABLE if stable is not None else 0])
-    out += wire.encode_uvarint(send_index)
-    out += wire.encode_determinants_varint(piggyback["dets"])
+    dets = piggyback["dets"]
+    ints = [send_index, len(dets), *chain.from_iterable(dets)]
     if stable is not None:
-        for entry in stable:
-            out += wire.encode_uvarint(entry)
-    return bytes(out)
+        ints += stable
+    return wire.pack_varints(PWD_FLAG_STABLE if stable is not None else 0,
+                             wire.as_identifiers(ints))
 
 
 def decode_pwd_piggyback(blob: bytes, nprocs: int) -> tuple[dict, int]:
@@ -208,17 +242,14 @@ def decode_pwd_piggyback(blob: bytes, nprocs: int) -> tuple[dict, int]:
     dict and the embedded send index."""
     try:
         flags = blob[0]
-        send_index, offset = wire.decode_uvarint(blob, 1)
-        dets, offset = wire.decode_determinants_varint(blob, offset)
-        piggyback: dict[str, Any] = {"dets": tuple(dets)}
+        stream = wire.VarintStream(blob, 1)
+        send_index = stream.one()
+        fields = stream.take(4 * stream.one()).tolist()
+        piggyback: dict[str, Any] = {"dets": tuple(
+            Determinant(*fields[i:i + 4]) for i in range(0, len(fields), 4))}
         if flags & PWD_FLAG_STABLE:
-            stable = []
-            for _ in range(nprocs):
-                entry, offset = wire.decode_uvarint(blob, offset)
-                stable.append(entry)
-            piggyback["stable"] = tuple(stable)
-        if offset != len(blob):
-            raise ValueError(f"{len(blob) - offset} trailing bytes")
+            piggyback["stable"] = tuple(stream.take(nprocs).tolist())
+        stream.finish()
     except (ValueError, IndexError) as exc:
         raise UndecodablePiggyback(f"malformed record: {exc}") from exc
     return piggyback, send_index

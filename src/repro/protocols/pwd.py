@@ -326,8 +326,8 @@ class PwdCausalProtocol(Protocol):
     # Determinant-increment piggybacks are self-contained, so the PWD
     # compressed form is *stateless*: every record is standalone and no
     # channel state exists to invalidate on epoch advances.  The imports
-    # are function-level because repro.core.wire imports Determinant
-    # from this module.
+    # are function-level because repro.protocols.compression imports
+    # Determinant from this module.
 
     def encode_piggyback_wire(self, dest: int, piggyback: Any,
                               send_index: int) -> Any:

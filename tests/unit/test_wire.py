@@ -1,15 +1,22 @@
-"""Wire-codec tests: round trips, and codec length == the protocols'
-accounted piggyback bytes."""
+"""Wire-codec tests: round trips and length formulas of the compressed
+records, and the raw-mode accounting of identifiers and bytes."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import wire
 from repro.core.vectors import TaggedPiggyback
+from repro.metrics.costs import CostModel
+from repro.protocols.compression import (
+    UndecodablePiggyback,
+    decode_pwd_piggyback,
+    encode_pwd_piggyback,
+)
 from repro.protocols.pwd import Determinant
 from tests.conftest import app_meta, make_protocol
 
 u32 = st.integers(0, (1 << 32) - 1)
+INT64_MAX = (1 << 63) - 1
 dets_strategy = st.lists(
     st.builds(Determinant, receiver=st.integers(0, 63),
               deliver_index=st.integers(0, 10_000),
@@ -18,70 +25,94 @@ dets_strategy = st.lists(
 )
 
 
+def _pwd_roundtrip(piggyback, send_index, nprocs=4):
+    blob = encode_pwd_piggyback(piggyback, send_index)
+    got, got_index = decode_pwd_piggyback(blob, nprocs)
+    assert got == piggyback and got_index == send_index
+    return blob
+
+
 class TestTdiCodec:
+    """A TDI piggyback on the compressed wire: a counted FULL record."""
+
     @given(st.lists(u32, min_size=1, max_size=64), u32)
     def test_roundtrip(self, vector, send_index):
-        data = wire.encode_tdi(vector, send_index)
-        got_vec, got_epochs, got_idx = wire.decode_tdi(data, len(vector))
-        assert list(got_vec) == vector and got_idx == send_index
-        assert got_epochs == (0,) * len(vector)
+        data = wire.encode_vector_full(vector, [0] * len(vector), send_index)
+        rec = wire.decode_vector_record(data, len(vector))
+        assert rec.values.tolist() == vector and rec.send_index == send_index
+        assert rec.epochs.tolist() == [0] * len(vector)
+        assert rec.standalone and not data[0] & wire.FLAG_EPOCHS
 
     @given(st.data(), st.integers(1, 64), u32)
     def test_tagged_roundtrip(self, data, nprocs, send_index):
-        """Epoch-tagged piggybacks round-trip through the 2n+1 form."""
+        """Epoch-tagged piggybacks round-trip; the epochs ride along
+        (FLAG_EPOCHS) exactly when one of them is nonzero."""
         values = data.draw(st.lists(u32, min_size=nprocs, max_size=nprocs))
         epochs = data.draw(st.lists(st.integers(0, 1 << 16),
                                     min_size=nprocs, max_size=nprocs))
         pb = TaggedPiggyback(values, epochs)
-        encoded = wire.encode_tdi(pb, send_index)
-        got_vec, got_epochs, got_idx = wire.decode_tdi(encoded, nprocs)
-        assert list(got_vec) == values and got_idx == send_index
-        assert list(got_epochs) == (epochs if any(epochs) else [0] * nprocs)
-        expected = wire.tdi_wire_bytes(nprocs, tagged=any(epochs))
-        assert len(encoded) == expected
+        encoded = wire.encode_vector_full(pb, pb.epochs, send_index)
+        rec = wire.decode_vector_record(encoded, nprocs)
+        assert rec.values.tolist() == values and rec.send_index == send_index
+        assert rec.epochs.tolist() == epochs
+        assert bool(encoded[0] & wire.FLAG_EPOCHS) == any(epochs)
 
     def test_length_formula(self):
-        assert len(wire.encode_tdi([0] * 8, 1)) == wire.tdi_wire_bytes(8) == 36
+        # one-byte values: header + n + n values + send index = n + 3
+        assert len(wire.encode_vector_full([1] * 8, [0] * 8, 1)) == 8 + 3
+        # all zero: header + n + empty sparse body + send index
+        assert len(wire.encode_vector_full([0] * 8, [0] * 8, 1)) == 4
 
     def test_tagged_length_formula(self):
-        pb = TaggedPiggyback([0] * 8, [0] * 7 + [1])
-        assert len(wire.encode_tdi(pb, 1)) == wire.tdi_wire_bytes(8, tagged=True) == 68
+        pb = TaggedPiggyback([1] * 8, [1] * 8)
+        assert len(wire.encode_vector_full(pb, pb.epochs, 1)) == 2 * 8 + 3
 
     def test_overflow_rejected(self):
-        with pytest.raises(ValueError, match="32 bits"):
-            wire.encode_tdi([1 << 32], 0)
+        # identifiers are int64 on the wire: past 2^63 - 1 or below 0 fails
+        with pytest.raises(ValueError, match="63 bits"):
+            wire.encode_vector_full([1 << 63], [0], 0)
+        with pytest.raises(ValueError, match="63 bits"):
+            wire.encode_vector_full([1], [0], 1 << 63)
+        with pytest.raises(ValueError, match="negative"):
+            wire.encode_vector_full([-1], [0], 0)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="expected"):
-            wire.decode_tdi(b"\x00" * 8, nprocs=4)
+        data = wire.encode_vector_full([1, 2, 3, 4], [0] * 4, 5, seq=0)
+        with pytest.raises(ValueError, match="truncated"):
+            wire.decode_vector_record(data[:-1], nprocs=4)
 
 
 class TestDeterminantCodec:
-    @given(dets_strategy)
-    def test_roundtrip(self, dets):
-        assert wire.decode_determinants(wire.encode_determinants(dets)) == dets
+    """A TAG determinant list on the compressed wire (no stability vector)."""
 
-    @given(dets_strategy)
-    def test_length_formula(self, dets):
-        data = wire.encode_determinants(dets)
-        assert len(data) == wire.IDENTIFIER_BYTES + wire.determinants_wire_bytes(len(dets))
+    @given(dets_strategy, u32)
+    def test_roundtrip(self, dets, send_index):
+        blob = _pwd_roundtrip({"dets": tuple(dets)}, send_index)
+        assert blob[0] == 0  # no stability vector follows
+
+    @given(dets_strategy, u32)
+    def test_length_formula(self, dets, send_index):
+        data = encode_pwd_piggyback({"dets": tuple(dets)}, send_index)
+        fields = sum(wire.uvarint_len(f) for det in dets for f in det)
+        assert len(data) == (1 + wire.uvarint_len(send_index)
+                             + wire.uvarint_len(len(dets)) + fields)
 
     def test_truncated_rejected(self):
-        data = wire.encode_determinants([Determinant(1, 2, 3, 4)])
-        with pytest.raises(ValueError):
-            wire.decode_determinants(data[:-1])
+        data = encode_pwd_piggyback({"dets": (Determinant(1, 2, 3, 4),)}, 1)
+        with pytest.raises(UndecodablePiggyback, match="truncated"):
+            decode_pwd_piggyback(data[:-1], 4)
 
     def test_empty_header_rejected(self):
-        with pytest.raises(ValueError, match="count header"):
-            wire.decode_determinants(b"")
+        with pytest.raises(UndecodablePiggyback):
+            decode_pwd_piggyback(b"", 4)
 
 
 class TestTelCodec:
     @given(dets_strategy, st.lists(u32, min_size=4, max_size=4), u32)
     def test_roundtrip(self, dets, stable, idx):
-        data = wire.encode_tel(dets, stable, idx)
-        got_dets, got_stable, got_idx = wire.decode_tel(data, 4)
-        assert got_dets == dets and list(got_stable) == stable and got_idx == idx
+        blob = _pwd_roundtrip({"dets": tuple(dets), "stable": tuple(stable)},
+                              idx)
+        assert blob[0] & 0x01  # the stability vector follows
 
 
 u64plus = st.integers(0, (1 << 70) - 1)
@@ -90,26 +121,32 @@ u64plus = st.integers(0, (1 << 70) - 1)
 class TestUvarint:
     @given(u64plus)
     def test_roundtrip(self, value):
-        data = wire.encode_uvarint(value)
-        got, offset = wire.decode_uvarint(data)
-        assert got == value and offset == len(data)
+        if value > INT64_MAX:
+            # beyond the int64 identifier range: rejected, never wrapped
+            with pytest.raises(ValueError, match="63 bits"):
+                wire.as_identifiers([value])
+            return
+        data = wire.pack_varints(0, wire.as_identifiers([value]))[1:]
+        stream = wire.VarintStream(data, 0)
+        assert stream.one() == value
+        stream.finish()
         assert len(data) == wire.uvarint_len(value)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            wire.encode_uvarint(-1)
+            wire.pack_varints(0, wire.as_identifiers([3, -1]))
 
     def test_truncated_rejected(self):
         with pytest.raises(ValueError, match="truncated"):
-            wire.decode_uvarint(b"\x80")
+            wire.VarintStream(b"\x80", 0).one()
 
 
 def _full_roundtrip(values, epochs, send_index, seq):
     blob = wire.encode_vector_full(tuple(values), tuple(epochs),
                                    send_index, seq=seq)
     rec = wire.decode_vector_record(blob, len(values))
-    assert rec.values == tuple(values)
-    assert rec.epochs == tuple(epochs)
+    assert rec.values.tolist() == list(values)
+    assert rec.epochs.tolist() == list(epochs)
     assert rec.send_index == send_index
     assert rec.seq == seq
     assert rec.standalone == (seq is None)
@@ -205,37 +242,46 @@ class TestVectorRecordCodec:
 
 
 class TestVarintDeterminantCodec:
-    @given(dets_strategy)
+    @given(st.lists(st.builds(
+        Determinant, receiver=st.integers(0, INT64_MAX),
+        deliver_index=st.integers(0, INT64_MAX),
+        sender=st.integers(0, INT64_MAX),
+        send_index=st.integers(0, INT64_MAX)), max_size=8))
     def test_roundtrip(self, dets):
-        data = wire.encode_determinants_varint(dets)
-        got, offset = wire.decode_determinants_varint(data)
-        assert got == dets and offset == len(data)
+        _pwd_roundtrip({"dets": tuple(dets)}, 7)
 
     def test_beyond_u32_fields(self):
-        dets = [Determinant(1, (1 << 32) + 1, 2, (1 << 40) + 9)]
-        got, _ = wire.decode_determinants_varint(
-            wire.encode_determinants_varint(dets))
-        assert got == dets
+        dets = (Determinant(1, (1 << 32) + 1, 2, (1 << 40) + 9),)
+        _pwd_roundtrip({"dets": dets}, 1 << 33)
 
 
 class TestAccountingGrounded:
-    """The simulated piggyback accounting equals real encoded sizes."""
+    """Raw mode prices a piggyback from its identifier count: the
+    accounted bytes are identifiers x IDENTIFIER_BYTES, and the count
+    follows each protocol's piggyback form."""
+
+    @staticmethod
+    def _bytes_accounted(p, prepared):
+        assert CostModel().identifier_bytes == wire.IDENTIFIER_BYTES
+        assert p.metrics.piggyback_identifiers == prepared.piggyback_identifiers
+        return p.metrics.piggyback_bytes_raw
 
     def test_tdi_accounting_matches_codec(self):
         p, _ = make_protocol("tdi", nprocs=8)
         prepared = p.prepare_send(1, 0, "x", 64)
-        encoded = wire.encode_tdi(prepared.piggyback, prepared.send_index)
-        assert len(encoded) == prepared.piggyback_identifiers * wire.IDENTIFIER_BYTES
+        assert prepared.piggyback_identifiers == 8 + 1
+        assert self._bytes_accounted(p, prepared) == \
+            prepared.piggyback_identifiers * wire.IDENTIFIER_BYTES
 
     def test_tdi_tagged_accounting_matches_codec(self):
-        # once any entry refers to a later incarnation the accounting and
-        # the codec both grow to 2n + 1 identifiers, in lockstep
+        # once any entry refers to a later incarnation the epoch vector
+        # rides along: 2n + 1 identifiers
         p, _ = make_protocol("tdi", nprocs=8)
         p.depend_interval.observe_rollback(3, 5, epoch=1)
         prepared = p.prepare_send(1, 0, "x", 64)
         assert prepared.piggyback_identifiers == 2 * 8 + 1
-        encoded = wire.encode_tdi(prepared.piggyback, prepared.send_index)
-        assert len(encoded) == prepared.piggyback_identifiers * wire.IDENTIFIER_BYTES
+        assert self._bytes_accounted(p, prepared) == \
+            prepared.piggyback_identifiers * wire.IDENTIFIER_BYTES
 
     def test_tag_accounting_matches_codec(self):
         p, _ = make_protocol("tag", nprocs=4)
@@ -243,19 +289,17 @@ class TestAccountingGrounded:
             p.on_deliver(app_meta(i + 1, {"dets": ()}), src=1)
         prepared = p.prepare_send(2, 0, "x", 64)
         dets = prepared.piggyback["dets"]
-        encoded_payload = wire.determinants_wire_bytes(len(dets)) + wire.IDENTIFIER_BYTES
-        # accounting: 4 per determinant + 1 send index
+        # 4 per determinant + 1 send index
         assert prepared.piggyback_identifiers == 4 * len(dets) + 1
-        assert encoded_payload == (4 * len(dets) + 1) * wire.IDENTIFIER_BYTES
+        assert self._bytes_accounted(p, prepared) == \
+            (4 * len(dets) + 1) * wire.IDENTIFIER_BYTES
 
     def test_tel_accounting_matches_codec(self):
         p, _ = make_protocol("tel", nprocs=4)
         p.on_deliver(app_meta(1, {"dets": (), "stable": (0, 0, 0, 0)}), src=1)
         prepared = p.prepare_send(2, 0, "x", 64)
         dets = prepared.piggyback["dets"]
-        encoded = wire.encode_tel(dets, prepared.piggyback["stable"],
-                                  prepared.send_index)
-        # accounting: 4/det + n stability + send index; codec adds the
-        # one-identifier count header the frame header otherwise carries
-        accounted = prepared.piggyback_identifiers * wire.IDENTIFIER_BYTES
-        assert len(encoded) == accounted + wire.IDENTIFIER_BYTES
+        # 4 per determinant + n stability entries + 1 send index
+        assert prepared.piggyback_identifiers == 4 * len(dets) + 4 + 1
+        assert self._bytes_accounted(p, prepared) == \
+            prepared.piggyback_identifiers * wire.IDENTIFIER_BYTES
